@@ -173,10 +173,10 @@ class Engine:
     #: hoisting, and partitioner propagation through maps (toggled per
     #: run by ``EmmaConfig.physical_planning``)
     physical_planning = True
-    #: host-parallel execution backend for partition tasks: "serial"
-    #: runs the operators' original inline loops; "threads"/"processes"
-    #: fan the pure per-partition work out on the engine's
-    #: :class:`~repro.engines.scheduler.TaskScheduler` (results and
+    #: host-parallel execution backend for the partition tasks the
+    #: engine's :class:`~repro.engines.scheduler.TaskScheduler` runs:
+    #: serial runs the same task runners inline, in order;
+    #: "threads"/"processes" fan them out on a pool (results and
     #: ``simulated_seconds`` stay bit-identical — only wall clock moves)
     execution_mode = "serial"
     #: concurrent partition-task slots (0 = one per host CPU core)

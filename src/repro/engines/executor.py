@@ -49,20 +49,12 @@ from repro.engines.chainkernel import (
 from repro.engines.columnar import (
     HAS_NUMPY,
     ColumnBatch,
-    bucket_indices,
     build_batch,
     concat_batches,
     normalize_batch,
     infer_schema,
-    probe_join,
-    scatter_batch,
 )
-from repro.engines.cluster import (
-    PartitionedBag,
-    Partitioner,
-    hash_partition_index,
-    stable_hash,
-)
+from repro.engines.cluster import PartitionedBag, Partitioner
 from repro.engines.costmodel import JoinObservation
 from repro.engines.metrics import JobRun
 from repro.engines.scheduler import (
@@ -83,7 +75,6 @@ from repro.engines.scheduler import (
     TaskStage,
     UdfRef,
     VectorKernelSpec,
-    group_rows_by_keys,
 )
 from repro.engines.sizes import (
     estimate_bag_bytes,
@@ -274,22 +265,17 @@ class JobExecutor:
             worker = faults.effective_worker(worker)
         return worker
 
-    # -- parallel backend --------------------------------------------------
-
-    @property
-    def _parallel(self) -> bool:
-        """Whether partition tasks fan out on the host-parallel backend.
-
-        In ``serial`` mode the operators below run their original
-        inline loops; in ``threads``/``processes`` mode the pure
-        per-partition work routes through the engine's
-        :class:`~repro.engines.scheduler.TaskScheduler` and *all*
-        cost charging and fault injection happens afterwards, in
-        deterministic partition order — which is what keeps
-        ``simulated_seconds``, injected fault schedules, and results
-        bit-identical across the three modes.
-        """
-        return self.engine.execution_mode != "serial"
+    # -- partition tasks ---------------------------------------------------
+    #
+    # Every per-partition operator builds :class:`PartitionTask`s and
+    # runs them through the engine's
+    # :class:`~repro.engines.scheduler.TaskScheduler`, in every
+    # execution mode: ``serial`` runs the same task runners inline, in
+    # order.  The pure per-partition work happens in the tasks; *all*
+    # cost charging and fault injection happens afterwards, driver-side
+    # and in partition order — which is what keeps
+    # ``simulated_seconds``, injected fault schedules, and results
+    # bit-identical across the three modes.
 
     def _udf_ref(self, compiled: _CompiledUdf) -> UdfRef:
         """The shippable source form of a compiled UDF."""
@@ -331,12 +317,12 @@ class JobExecutor:
     def _kernel_partitions(
         self, comb: Combinator, source: PartitionedBag
     ) -> list[list[Any]]:
-        """Run a narrow operator as parallel single-step kernel tasks.
+        """Run a narrow operator as single-step kernel tasks.
 
-        The kernel computes exactly what the operator's serial loop
-        computes (PR 1's equivalence guarantee), and
-        :meth:`_charge_kernel` charges exactly what the serial loop
-        charges, so this path differs from serial only in wall-clock.
+        Each task streams one partition through the operator's kernel
+        (:meth:`_op_kernel`); the driver then charges every partition
+        from the returned counters through :meth:`_charge_kernel`, in
+        partition order — the same accounting a fused chain gets.
         """
         kernel = self._op_kernel(comb)
         results = self._kernel_stage(
@@ -427,23 +413,26 @@ class JobExecutor:
 
     # -- element-wise -----------------------------------------------------------
 
-    def _exec_map(self, comb: CMap) -> PartitionedBag:
+    def _exec_element_wise(
+        self, comb: CMap | CFlatMap | CFilter
+    ) -> PartitionedBag:
+        """A map, flat-map, or filter as a single-step kernel stage.
+
+        The three differ only in what the output keeps of the input's
+        partitioning: a filter keeps it, a map keeps it only when the
+        key provably survives (:meth:`_map_output_partitioner`), and a
+        flat-map never does.
+        """
         source = self._exec(comb.input)
-        if self._parallel:
-            out = self._kernel_partitions(comb, source)
-            self.engine.metrics.udf_invocations += source.count()
-            return PartitionedBag(
-                out, self._map_output_partitioner(comb, source)
-            )
-        fn, extra = self._compile_udf(comb.fn)
-        out = []
-        for i, p in enumerate(source.partitions):
-            out.append([fn(x) for x in p])
-            self._charge_cpu(i, len(p) * (1 + extra) + self._record_ops(p))
+        out = self._kernel_partitions(comb, source)
         self.engine.metrics.udf_invocations += source.count()
-        return PartitionedBag(
-            out, self._map_output_partitioner(comb, source)
-        )
+        if isinstance(comb, CFilter):
+            partitioner = source.partitioner
+        elif isinstance(comb, CMap):
+            partitioner = self._map_output_partitioner(comb, source)
+        else:
+            partitioner = None
+        return PartitionedBag(out, partitioner)
 
     def _map_output_partitioner(
         self, comb: CMap, source: PartitionedBag
@@ -509,48 +498,6 @@ class JobExecutor:
             ScalarFn(("_r",), out_body), source.num_partitions
         )
 
-    def _exec_flat_map(self, comb: CFlatMap) -> PartitionedBag:
-        source = self._exec(comb.input)
-        if self._parallel:
-            out = self._kernel_partitions(comb, source)
-            self.engine.metrics.udf_invocations += source.count()
-            return PartitionedBag(out)
-        fn, extra = self._compile_udf(comb.fn)
-        out = []
-        for i, p in enumerate(source.partitions):
-            rows: list[Any] = []
-            for x in p:
-                produced = fn(x)
-                if isinstance(produced, DataBag):
-                    rows.extend(produced.fetch())
-                else:
-                    rows.extend(produced)
-            out.append(rows)
-            self._charge_cpu(
-                i,
-                len(p) * (1 + extra)
-                + len(rows)
-                + self._record_ops(p),
-            )
-        self.engine.metrics.udf_invocations += source.count()
-        return PartitionedBag(out)
-
-    def _exec_filter(self, comb: CFilter) -> PartitionedBag:
-        source = self._exec(comb.input)
-        if self._parallel:
-            out = self._kernel_partitions(comb, source)
-            self.engine.metrics.udf_invocations += source.count()
-            # Filtering preserves the partitioning of its input.
-            return PartitionedBag(out, source.partitioner)
-        fn, extra = self._compile_udf(comb.predicate)
-        out = []
-        for i, p in enumerate(source.partitions):
-            out.append([x for x in p if fn(x)])
-            self._charge_cpu(i, len(p) * (1 + extra) + self._record_ops(p))
-        self.engine.metrics.udf_invocations += source.count()
-        # Filtering preserves the partitioning of its input.
-        return PartitionedBag(out, source.partitioner)
-
     # -- fused operator chains --------------------------------------------------
 
     _STEP_KINDS: dict[type, str] = {
@@ -583,33 +530,17 @@ class JobExecutor:
         return kernel
 
     def _op_kernel(self, comb: Combinator) -> ChainKernel:
-        """A single-step kernel for a narrow operator (parallel modes).
+        """A single-step kernel for a narrow operator.
 
-        Serial mode runs maps/filters/flat-maps as plain closure loops;
-        the parallel backend wraps the single operator in the same
-        generated-kernel machinery chains use, because that is what
-        makes it shippable to worker processes as source.
+        Maps, filters, and flat-maps run through the same
+        generated-kernel machinery chains use, which is what makes them
+        shippable to worker processes as source.
         """
         kernel = self._kernel_memo.get(id(comb))
         if kernel is None:
             kernel = build_chain_kernel([self._kernel_step(comb)])
             self._kernel_memo[id(comb)] = kernel
         return kernel
-
-    def _run_chain(
-        self,
-        kernel: ChainKernel,
-        partition_index: int,
-        partition: list[Any],
-        emit: Callable[[Any], Any],
-    ) -> tuple[list[int], int]:
-        """Stream one partition through the kernel, charging exactly
-        what the unfused operators would — minus the per-operator
-        materialization: ``_record_ops`` is paid once per chain."""
-        counts = kernel.run(partition, emit)
-        return self._charge_kernel(
-            kernel, partition_index, partition, counts
-        )
 
     def _charge_kernel(
         self,
@@ -620,10 +551,11 @@ class JobExecutor:
     ) -> tuple[list[int], int]:
         """Charge one completed kernel task from its counters alone.
 
-        Factored out of :meth:`_run_chain` so the parallel backend —
-        which gets ``counts`` back from a worker instead of running the
-        kernel inline — charges through the identical code path, in the
-        identical partition order.
+        Charges exactly what the unfused operators would — minus the
+        per-operator materialization: ``_record_ops`` is paid once per
+        kernel.  The task that ran the kernel (inline or on a worker)
+        returned ``counts``; the charge happens driver-side, in
+        partition order.
         """
         entered, emitted = kernel.entered_counts(len(partition), counts)
         ops = self._record_ops(partition)
@@ -923,53 +855,29 @@ class JobExecutor:
         out: list[list[Any]] = []
         out_batches: dict[int, ColumnBatch] = {}
         row_out = False
-        if self._parallel:
-            vspec = VectorKernelSpec(kernel.steps, vk.schema, prepared=vk)
-            rspec = KernelSpec(kernel.steps, prepared=kernel)
-            tasks = []
-            for i, p in enumerate(source.partitions):
-                batch = batches.get(i)
-                if batch is not None:
-                    tasks.append(
-                        PartitionTask(i, vspec, batch, comb.label())
-                    )
-                else:
-                    tasks.append(
-                        PartitionTask(i, rspec, p, comb.label())
-                    )
-            results = self._run_stage(tasks)
-            for i, (p, (payload, counts)) in enumerate(
-                zip(source.partitions, results)
-            ):
-                if isinstance(payload, ColumnBatch):
-                    rows = payload.to_records()
-                    if rows:
-                        out_batches[i] = payload
-                else:
-                    rows = payload
-                    row_out = row_out or bool(rows)
-                entered, _emitted = self._charge_kernel(
-                    kernel, i, p, counts
-                )
-                out.append(rows)
-                total_invocations += sum(entered)
-        else:
-            for i, p in enumerate(source.partitions):
-                batch = batches.get(i)
-                if batch is not None:
-                    out_batch, counts = vk.run_batch(batch)
-                    rows = out_batch.to_records()
-                    if rows:
-                        out_batches[i] = out_batch
-                else:
-                    rows = []
-                    counts = kernel.run(p, rows.append)
-                    row_out = row_out or bool(rows)
-                entered, _emitted = self._charge_kernel(
-                    kernel, i, p, counts
-                )
-                out.append(rows)
-                total_invocations += sum(entered)
+        vspec = VectorKernelSpec(kernel.steps, vk.schema, prepared=vk)
+        rspec = KernelSpec(kernel.steps, prepared=kernel)
+        tasks = []
+        for i, p in enumerate(source.partitions):
+            batch = batches.get(i)
+            if batch is not None:
+                tasks.append(PartitionTask(i, vspec, batch, comb.label()))
+            else:
+                tasks.append(PartitionTask(i, rspec, p, comb.label()))
+        results = self._run_stage(tasks)
+        for i, (p, (payload, counts)) in enumerate(
+            zip(source.partitions, results)
+        ):
+            if isinstance(payload, ColumnBatch):
+                rows = payload.to_records()
+                if rows:
+                    out_batches[i] = payload
+            else:
+                rows = payload
+                row_out = row_out or bool(rows)
+            entered, _emitted = self._charge_kernel(kernel, i, p, counts)
+            out.append(rows)
+            total_invocations += sum(entered)
         metrics.udf_invocations += total_invocations
         result = PartitionedBag(
             out,
@@ -994,28 +902,11 @@ class JobExecutor:
                 return columnar
         total_invocations = 0
         out: list[list[Any]] = []
-        if self._parallel:
-            results = self._kernel_stage(
-                kernel, source.partitions, comb.label()
-            )
-            for i, (p, (rows, counts)) in enumerate(
-                zip(source.partitions, results)
-            ):
-                entered, _emitted = self._charge_kernel(
-                    kernel, i, p, counts
-                )
-                out.append(rows)
-                total_invocations += sum(entered)
-            self.engine.metrics.udf_invocations += total_invocations
-            return PartitionedBag(
-                out,
-                source.partitioner
-                if comb.preserves_partitioning()
-                else None,
-            )
-        for i, p in enumerate(source.partitions):
-            rows: list[Any] = []
-            entered, _emitted = self._run_chain(kernel, i, p, rows.append)
+        results = self._kernel_stage(kernel, source.partitions, comb.label())
+        for i, (p, (rows, counts)) in enumerate(
+            zip(source.partitions, results)
+        ):
+            entered, _emitted = self._charge_kernel(kernel, i, p, counts)
             out.append(rows)
             total_invocations += sum(entered)
         self.engine.metrics.udf_invocations += total_invocations
@@ -1081,11 +972,11 @@ class JobExecutor:
         n_parts: int,
         exchange: Combinator | None = None,
     ) -> list[list[list[Any]]]:
-        """Hash-bucket every partition as parallel scheduler tasks.
+        """Hash-bucket every partition as one stage of scheduler tasks.
 
         The per-record ``stable_hash`` is process-independent by
-        construction, so worker processes bucket records exactly as the
-        driver's serial loop would.
+        construction, so a task buckets its records identically whether
+        it runs inline or in a worker process.
         """
         tasks = self._bucket_tasks(
             bag, key_ir, n_parts, exchange, "shuffle-bucket"
@@ -1104,7 +995,7 @@ class JobExecutor:
         ``prebucketed`` carries per-partition bucket lists computed
         ahead of time (the overlapped join-side scan of
         :meth:`_prebucket_pair`); merging them in input-partition order
-        reproduces the serial shuffle's record order exactly.
+        gives exactly the record order of buckets computed here.
 
         ``exchange`` is the shuffle-inducing combinator when the
         optimizer selected its columnar exchange plane: keys are then
@@ -1136,27 +1027,13 @@ class JobExecutor:
                 ts=self.job.trace_ts(),
                 key=key_ir.describe(),
             )
-        key_fn, extra = self._compile_udf(key_ir)
+        extra = self._udf_compilation(key_ir).extra
         n_parts = self.parallelism
-        exchange_on = exchange is not None and self._exchange_active(
-            exchange
-        )
         buckets = prebucketed
-        col_buckets: dict[int, list[ColumnBatch]] | None = None
-        if buckets is None and self._parallel:
-            buckets = self._bucket_partitions(
-                bag, key_ir, n_parts, exchange if exchange_on else None
-            )
-        elif buckets is None and exchange_on:
-            prep = self._exchange_prep(exchange, key_ir, bag)
-            if prep is not None:
-                vk, batches = prep
-                col_buckets = {}
-                for i, batch in batches.items():
-                    keys = vk.run_batch(batch)[0].columns[0]
-                    col_buckets[i] = scatter_batch(
-                        batch, bucket_indices(keys, n_parts), n_parts
-                    )
+        if buckets is None:
+            if exchange is not None and not self._exchange_active(exchange):
+                exchange = None
+            buckets = self._bucket_partitions(bag, key_ir, n_parts, exchange)
         new_partitions: list[list[Any]] = [[] for _ in range(n_parts)]
         total_moved = 0
         columnar_parts = 0
@@ -1165,20 +1042,12 @@ class JobExecutor:
             [] for _ in range(n_parts)
         ]
         trace_blocks: list[ColumnBatch] = []
-        sh = stable_hash
         for i, p in enumerate(bag.partitions):
             if not p:
                 continue
             part_bytes = estimate_bag_bytes(p)
-            bucketed = None if buckets is None else buckets[i]
-            if bucketed is None and col_buckets is not None:
-                bucketed = col_buckets.get(i)
-            if bucketed is None:
-                row_contrib = True
-                keys = [key_fn(record) for record in p]
-                for record, k in zip(p, keys):
-                    new_partitions[sh(k) % n_parts].append(record)
-            elif bucketed and isinstance(bucketed[0], ColumnBatch):
+            bucketed = buckets[i]
+            if bucketed and isinstance(bucketed[0], ColumnBatch):
                 columnar_parts += 1
                 for idx, sub in enumerate(bucketed):
                     if sub.nrows:
@@ -1346,17 +1215,6 @@ class JobExecutor:
         return local
 
     # -- UDF compilation -------------------------------------------------------------
-
-    def _compile_udf(self, fn: ScalarFn) -> tuple[Callable, int]:
-        """Close a UDF over the driver env; broadcast free bag values.
-
-        Returns the callable plus the *extra per-element op weight*: a
-        UDF that scans a broadcast bag per element (the paper's
-        nearest-centroid or blacklist-scan patterns) costs ``1 + |bag|``
-        ops per invocation.
-        """
-        compiled = self._udf_compilation(fn)
-        return compiled.closure, compiled.extra
 
     def _udf_compilation(self, fn: ScalarFn) -> _CompiledUdf:
         """Memoized (by UDF identity, per job) closure compilation.
@@ -1569,11 +1427,7 @@ class JobExecutor:
         flight simultaneously.  Aligned sides return ``None`` (their
         shuffle elides inside :meth:`shuffle_by_key`).
         """
-        if not (
-            self._parallel
-            and not self._aligned(left, kx)
-            and not self._aligned(right, ky)
-        ):
+        if self._aligned(left, kx) or self._aligned(right, ky):
             return None, None
         n_parts = self.parallelism
         ltasks = self._bucket_tasks(
@@ -1786,7 +1640,7 @@ class JobExecutor:
                 small, big = left, right
                 cs, cb = cx, cy
                 small_first = True
-            ks, kb = cs.closure, cb.closure
+            ks = cs.closure
             table: dict[Any, list[Any]] = {}
             small_records = small.collect()
             self.broadcast_value(small_records)
@@ -1796,33 +1650,22 @@ class JobExecutor:
                 self.engine.cost.cpu_seconds(len(small_records))
             )
             out: list[list[Any]] = []
-            if self._parallel:
-                spec = BroadcastProbeSpec(
-                    small_records,
-                    self._udf_ref(cs),
-                    self._udf_ref(cb),
-                    small_first,
-                    prepared=(table, kb, small_first),
-                )
-                tasks = [
-                    PartitionTask(i, spec, p, "broadcast-join")
-                    for i, p in enumerate(big.partitions)
-                ]
-                for i, (p, rows) in enumerate(
-                    zip(big.partitions, self._run_stage(tasks))
-                ):
-                    out.append(rows)
-                    self._charge_cpu(i, len(p) + len(rows))
-            else:
-                for i, p in enumerate(big.partitions):
-                    rows: list[Any] = []
-                    for x in p:
-                        for m in table.get(kb(x), ()):
-                            rows.append(
-                                (m, x) if small_first else (x, m)
-                            )
-                    out.append(rows)
-                    self._charge_cpu(i, len(p) + len(rows))
+            spec = BroadcastProbeSpec(
+                small_records,
+                self._udf_ref(cs),
+                self._udf_ref(cb),
+                small_first,
+                prepared=(table, cb.closure, small_first),
+            )
+            tasks = [
+                PartitionTask(i, spec, p, "broadcast-join")
+                for i, p in enumerate(big.partitions)
+            ]
+            for i, (p, rows) in enumerate(
+                zip(big.partitions, self._run_stage(tasks))
+            ):
+                out.append(rows)
+                self._charge_cpu(i, len(p) + len(rows))
             return PartitionedBag(
                 out,
                 self._pair_partitioner(
@@ -1853,93 +1696,55 @@ class JobExecutor:
         if exchange is not None:
             lprep = self._exchange_prep(comb, comb.kx, left)
             rprep = self._exchange_prep(comb, comb.ky, right)
-        engaged = lprep is not None and rprep is not None
-        if engaged:
-            self.engine.metrics.columnar_joins += 1
         out = []
-        if self._parallel:
-            if engaged:
-                lvk, lbatches = lprep
-                rvk, rbatches = rprep
-                spec = ColumnarJoinProbeSpec(
-                    self._udf_ref(cx),
-                    self._udf_ref(cy),
-                    self._key_step(cx),
-                    lvk.schema,
-                    self._key_step(cy),
-                    rvk.schema,
-                    prepared=(kx, ky, lvk, rvk),
-                )
-                ship = self.engine.execution_mode == "processes"
-                metrics = self.engine.metrics
-                tasks = []
-                for i, (lp, rp) in enumerate(
-                    zip(left.partitions, right.partitions)
-                ):
-                    ldata = lbatches.get(i, lp)
-                    rdata = rbatches.get(i, rp)
-                    if ship:
-                        metrics.columnar_blocks_shipped += isinstance(
-                            ldata, ColumnBatch
-                        ) + isinstance(rdata, ColumnBatch)
-                    tasks.append(
-                        PartitionTask(
-                            i, spec, (ldata, rdata), "join-probe-columnar"
-                        )
-                    )
-            else:
-                spec = JoinProbeSpec(
-                    self._udf_ref(cx),
-                    self._udf_ref(cy),
-                    prepared=(kx, ky),
-                )
-                tasks = [
-                    PartitionTask(i, spec, (lp, rp), "join-probe")
-                    for i, (lp, rp) in enumerate(
-                        zip(left.partitions, right.partitions)
-                    )
-                ]
-            for i, ((lp, rp), rows) in enumerate(
-                zip(
-                    zip(left.partitions, right.partitions),
-                    self._run_stage(tasks),
-                )
-            ):
-                out.append(rows)
-                self._charge_cpu(i, len(lp) + len(rp) + len(rows))
-            return PartitionedBag(
-                out, self._pair_partitioner(left.partitioner, 0)
-            )
-        if engaged:
+        if lprep is not None and rprep is not None:
+            self.engine.metrics.columnar_joins += 1
             lvk, lbatches = lprep
             rvk, rbatches = rprep
-        for i, (lp, rp) in enumerate(
-            zip(left.partitions, right.partitions)
+            spec = ColumnarJoinProbeSpec(
+                self._udf_ref(cx),
+                self._udf_ref(cy),
+                self._key_step(cx),
+                lvk.schema,
+                self._key_step(cy),
+                rvk.schema,
+                prepared=(kx, ky, lvk, rvk),
+            )
+            ship = self.engine.execution_mode == "processes"
+            metrics = self.engine.metrics
+            tasks = []
+            for i, (lp, rp) in enumerate(
+                zip(left.partitions, right.partitions)
+            ):
+                ldata = lbatches.get(i, lp)
+                rdata = rbatches.get(i, rp)
+                if ship:
+                    metrics.columnar_blocks_shipped += isinstance(
+                        ldata, ColumnBatch
+                    ) + isinstance(rdata, ColumnBatch)
+                tasks.append(
+                    PartitionTask(
+                        i, spec, (ldata, rdata), "join-probe-columnar"
+                    )
+                )
+        else:
+            spec = JoinProbeSpec(
+                self._udf_ref(cx),
+                self._udf_ref(cy),
+                prepared=(kx, ky),
+            )
+            tasks = [
+                PartitionTask(i, spec, (lp, rp), "join-probe")
+                for i, (lp, rp) in enumerate(
+                    zip(left.partitions, right.partitions)
+                )
+            ]
+        for i, ((lp, rp), rows) in enumerate(
+            zip(
+                zip(left.partitions, right.partitions),
+                self._run_stage(tasks),
+            )
         ):
-            if engaged:
-                rbatch = rbatches.get(i)
-                lbatch = lbatches.get(i)
-                rkeys = (
-                    rvk.run_batch(rbatch)[0].columns[0]
-                    if rbatch is not None
-                    else [ky(r) for r in rp]
-                )
-                lkeys = (
-                    lvk.run_batch(lbatch)[0].columns[0]
-                    if lbatch is not None
-                    else [kx(x) for x in lp]
-                )
-                rows = probe_join(lp, lkeys, rp, rkeys)
-            else:
-                rkeys = [ky(r) for r in rp]
-                lkeys = [kx(x) for x in lp]
-                table = {}
-                for r, k in zip(rp, rkeys):
-                    table.setdefault(k, []).append(r)
-                rows = []
-                for x, k in zip(lp, lkeys):
-                    for m in table.get(k, ()):
-                        rows.append((x, m))
             out.append(rows)
             self._charge_cpu(i, len(lp) + len(rp) + len(rows))
         return PartitionedBag(
@@ -1974,28 +1779,19 @@ class JobExecutor:
             for i, p in enumerate(right.partitions):
                 self._charge_cpu(i, len(p))
             out: list[list[Any]] = []
-            if self._parallel:
-                spec = BroadcastSemiSpec(
-                    list(keys),
-                    self._udf_ref(cx),
-                    comb.anti,
-                    prepared=(keys, kx, comb.anti),
-                )
-                tasks = [
-                    PartitionTask(i, spec, p, "broadcast-semi")
-                    for i, p in enumerate(left.partitions)
-                ]
-                for i, (p, rows) in enumerate(
-                    zip(left.partitions, self._run_stage(tasks))
-                ):
-                    out.append(rows)
-                    self._charge_cpu(i, len(p))
-                return PartitionedBag(out, left.partitioner)
-            for i, p in enumerate(left.partitions):
-                if comb.anti:
-                    rows = [x for x in p if kx(x) not in keys]
-                else:
-                    rows = [x for x in p if kx(x) in keys]
+            spec = BroadcastSemiSpec(
+                list(keys),
+                self._udf_ref(cx),
+                comb.anti,
+                prepared=(keys, kx, comb.anti),
+            )
+            tasks = [
+                PartitionTask(i, spec, p, "broadcast-semi")
+                for i, p in enumerate(left.partitions)
+            ]
+            for i, (p, rows) in enumerate(
+                zip(left.partitions, self._run_stage(tasks))
+            ):
                 out.append(rows)
                 self._charge_cpu(i, len(p))
             return PartitionedBag(out, left.partitioner)
@@ -2021,36 +1817,24 @@ class JobExecutor:
                 comb.right, right, comb.ky, rpre, exchange
             )
         out = []
-        if self._parallel:
-            spec = SemiProbeSpec(
-                self._udf_ref(cx),
-                self._udf_ref(cy),
-                comb.anti,
-                prepared=(kx, ky, comb.anti),
+        spec = SemiProbeSpec(
+            self._udf_ref(cx),
+            self._udf_ref(cy),
+            comb.anti,
+            prepared=(kx, ky, comb.anti),
+        )
+        tasks = [
+            PartitionTask(i, spec, (lp, rp), "semi-probe")
+            for i, (lp, rp) in enumerate(
+                zip(left.partitions, right.partitions)
             )
-            tasks = [
-                PartitionTask(i, spec, (lp, rp), "semi-probe")
-                for i, (lp, rp) in enumerate(
-                    zip(left.partitions, right.partitions)
-                )
-            ]
-            for i, ((lp, rp), rows) in enumerate(
-                zip(
-                    zip(left.partitions, right.partitions),
-                    self._run_stage(tasks),
-                )
-            ):
-                out.append(rows)
-                self._charge_cpu(i, len(lp) + len(rp))
-            return PartitionedBag(out, left.partitioner)
-        for i, (lp, rp) in enumerate(
-            zip(left.partitions, right.partitions)
+        ]
+        for i, ((lp, rp), rows) in enumerate(
+            zip(
+                zip(left.partitions, right.partitions),
+                self._run_stage(tasks),
+            )
         ):
-            keys = {ky(r) for r in rp}
-            if comb.anti:
-                rows = [x for x in lp if kx(x) not in keys]
-            else:
-                rows = [x for x in lp if kx(x) in keys]
             out.append(rows)
             self._charge_cpu(i, len(lp) + len(rp))
         return PartitionedBag(out, left.partitioner)
@@ -2095,9 +1879,6 @@ class JobExecutor:
             if exchange is not None
             else None
         )
-        if prep is not None:
-            self.engine.metrics.columnar_groups += 1
-            gvk, gbatches = prep
         # Graceful degradation: partitions whose in-memory group
         # materialization would blow the simulated worker memory limit
         # group through external run-merge instead of aborting — but
@@ -2105,41 +1886,36 @@ class JobExecutor:
         # out-of-core layer, so budget-less runs keep the paper's hard
         # failure mode bit-for-bit.
         external = self._plan_external_groups(shuffled.partitions)
-        out: list[list[Any]] = []
-        group_rows: dict[int, list[Any]] | None = None
-        if self._parallel:
-            spec = GroupSpec(self._udf_ref(compiled), prepared=key_fn)
-            cspec = None
-            if prep is not None:
-                cspec = ColumnarGroupSpec(
-                    self._udf_ref(compiled),
-                    self._key_step(compiled),
-                    gvk.schema,
-                    prepared=(gvk,),
+        spec = GroupSpec(self._udf_ref(compiled), prepared=key_fn)
+        cspec = None
+        gbatches: dict[int, ColumnBatch] = {}
+        if prep is not None:
+            self.engine.metrics.columnar_groups += 1
+            gvk, gbatches = prep
+            cspec = ColumnarGroupSpec(
+                self._udf_ref(compiled),
+                self._key_step(compiled),
+                gvk.schema,
+                prepared=(gvk,),
+            )
+        ship = self.engine.execution_mode == "processes"
+        metrics = self.engine.metrics
+        kept = [
+            i for i in range(len(shuffled.partitions)) if i not in external
+        ]
+        tasks = []
+        for i in kept:
+            batch = gbatches.get(i)
+            if batch is not None:
+                tasks.append(PartitionTask(i, cspec, batch, "group-columnar"))
+                if ship:
+                    metrics.columnar_blocks_shipped += 1
+            else:
+                tasks.append(
+                    PartitionTask(i, spec, shuffled.partitions[i], "group")
                 )
-            ship = self.engine.execution_mode == "processes"
-            metrics = self.engine.metrics
-            kept = [
-                i
-                for i in range(len(shuffled.partitions))
-                if i not in external
-            ]
-            tasks = []
-            for i in kept:
-                batch = gbatches.get(i) if cspec is not None else None
-                if batch is not None:
-                    tasks.append(
-                        PartitionTask(i, cspec, batch, "group-columnar")
-                    )
-                    if ship:
-                        metrics.columnar_blocks_shipped += 1
-                else:
-                    tasks.append(
-                        PartitionTask(
-                            i, spec, shuffled.partitions[i], "group"
-                        )
-                    )
-            group_rows = dict(zip(kept, self._run_stage(tasks)))
+        group_rows = dict(zip(kept, self._run_stage(tasks)))
+        out: list[list[Any]] = []
         for i, p in enumerate(shuffled.partitions):
             if i in external:
                 out.append(self._external_group_partition(i, p, key_fn))
@@ -2159,20 +1935,7 @@ class JobExecutor:
                     ),
                 )
                 continue
-            if group_rows is not None:
-                out.append(group_rows[i])
-            else:
-                batch = gbatches.get(i) if prep is not None else None
-                if batch is not None:
-                    keys = gvk.run_batch(batch)[0].to_records()
-                    groups = group_rows_by_keys(p, keys)
-                else:
-                    groups = {}
-                    for x in p:
-                        groups.setdefault(key_fn(x), []).append(x)
-                out.append(
-                    [Grp(k, DataBag(vs)) for k, vs in groups.items()]
-                )
+            out.append(group_rows[i])
             ops = len(p) * (1 + extra) * factor
             if self.engine.group_spill_to_disk and len(p) > 1:
                 # Sort-based grouping costs n log n, not n.
@@ -2340,62 +2103,31 @@ class JobExecutor:
         # Phase 1: mapper-side partial aggregation.
         chain_invocations = 0
         partials: list[list[tuple[Any, tuple]]] = []
-        if self._parallel:
-            mspec = AggMapSpec(
-                self._udf_ref(ckey),
-                comb.specs,
-                bindings,
-                steps=kernel.steps if kernel is not None else None,
-                prepared=(kernel, key_fn, algebras),
+        mspec = AggMapSpec(
+            self._udf_ref(ckey),
+            comb.specs,
+            bindings,
+            steps=kernel.steps if kernel is not None else None,
+            prepared=(kernel, key_fn, algebras),
+        )
+        tasks = [
+            PartitionTask(i, mspec, p, "agg-map")
+            for i, p in enumerate(source.partitions)
+        ]
+        for i, (p, (pairs, counts)) in enumerate(
+            zip(source.partitions, self._run_stage(tasks))
+        ):
+            if kernel is None:
+                n_agg_inputs = len(p)
+            else:
+                entered, n_agg_inputs = self._charge_kernel(
+                    kernel, i, p, counts
+                )
+                chain_invocations += sum(entered)
+            partials.append(pairs)
+            self._charge_cpu(
+                i, n_agg_inputs * (len(algebras) + extra) + len(pairs)
             )
-            tasks = [
-                PartitionTask(i, mspec, p, "agg-map")
-                for i, p in enumerate(source.partitions)
-            ]
-            for i, (p, (pairs, counts)) in enumerate(
-                zip(source.partitions, self._run_stage(tasks))
-            ):
-                if kernel is None:
-                    n_agg_inputs = len(p)
-                else:
-                    entered, n_agg_inputs = self._charge_kernel(
-                        kernel, i, p, counts
-                    )
-                    chain_invocations += sum(entered)
-                partials.append(pairs)
-                self._charge_cpu(
-                    i,
-                    n_agg_inputs * (len(algebras) + extra) + len(pairs),
-                )
-        else:
-            for i, p in enumerate(source.partitions):
-                acc: dict[Any, list[Any]] = {}
-
-                def accumulate(x: Any) -> None:
-                    k = key_fn(x)
-                    entry = acc.get(k)
-                    if entry is None:
-                        acc[k] = [
-                            a.union(a.zero(), a.singleton(x))
-                            for a in algebras
-                        ]
-                    else:
-                        for j, a in enumerate(algebras):
-                            entry[j] = a.union(entry[j], a.singleton(x))
-
-                if kernel is None:
-                    for x in p:
-                        accumulate(x)
-                    n_agg_inputs = len(p)
-                else:
-                    entered, n_agg_inputs = self._run_chain(
-                        kernel, i, p, accumulate
-                    )
-                    chain_invocations += sum(entered)
-                partials.append([(k, tuple(v)) for k, v in acc.items()])
-                self._charge_cpu(
-                    i, n_agg_inputs * (len(algebras) + extra) + len(acc)
-                )
         if kernel is not None:
             self.engine.metrics.udf_invocations += chain_invocations
         partial_bag = PartitionedBag(
@@ -2426,37 +2158,16 @@ class JobExecutor:
             )
         # Phase 3: reducer-side merge.
         out: list[list[Any]] = []
-        if self._parallel:
-            rspec = AggMergeSpec(
-                comb.specs, bindings, prepared=tuple(algebras)
-            )
-            tasks = [
-                PartitionTask(i, rspec, p, "agg-merge")
-                for i, p in enumerate(partial_bag.partitions)
-            ]
-            for i, (p, rows) in enumerate(
-                zip(partial_bag.partitions, self._run_stage(tasks))
-            ):
-                out.append(rows)
-                self._charge_cpu(
-                    i, len(p) * len(algebras) + len(rows)
-                )
-            return PartitionedBag(
-                out, _grp_partitioner(partial_bag, "key")
-            )
-        for i, p in enumerate(partial_bag.partitions):
-            merged: dict[Any, list[Any]] = {}
-            for k, accs in p:
-                entry = merged.get(k)
-                if entry is None:
-                    merged[k] = list(accs)
-                else:
-                    for j, a in enumerate(algebras):
-                        entry[j] = a.union(entry[j], accs[j])
-            out.append(
-                [AggResult(k, tuple(v)) for k, v in merged.items()]
-            )
-            self._charge_cpu(i, len(p) * len(algebras) + len(merged))
+        rspec = AggMergeSpec(comb.specs, bindings, prepared=tuple(algebras))
+        tasks = [
+            PartitionTask(i, rspec, p, "agg-merge")
+            for i, p in enumerate(partial_bag.partitions)
+        ]
+        for i, (p, rows) in enumerate(
+            zip(partial_bag.partitions, self._run_stage(tasks))
+        ):
+            out.append(rows)
+            self._charge_cpu(i, len(p) * len(algebras) + len(rows))
         return PartitionedBag(out, _grp_partitioner(partial_bag, "key"))
 
     def _exec_distinct(self, comb: CDistinct) -> PartitionedBag:
@@ -2534,20 +2245,14 @@ class JobExecutor:
         source = self._exec(comb.input)
         bindings, extra = self._udf_bindings(comb.spec.free_vars())
         algebra = comb.spec.make_algebra(Env.of(bindings))
-        partial_values: list[Any] = []
-        if self._parallel:
-            fspec = FoldSpec(comb.spec, bindings, prepared=algebra)
-            tasks = [
-                PartitionTask(i, fspec, p, "fold")
-                for i, p in enumerate(source.partitions)
-            ]
-            partial_values = self._run_stage(tasks)
-            for i, p in enumerate(source.partitions):
-                self._charge_cpu(i, len(p) * (1 + extra))
-        else:
-            for i, p in enumerate(source.partitions):
-                partial_values.append(algebra(p))
-                self._charge_cpu(i, len(p) * (1 + extra))
+        fspec = FoldSpec(comb.spec, bindings, prepared=algebra)
+        tasks = [
+            PartitionTask(i, fspec, p, "fold")
+            for i, p in enumerate(source.partitions)
+        ]
+        partial_values = self._run_stage(tasks)
+        for i, p in enumerate(source.partitions):
+            self._charge_cpu(i, len(p) * (1 + extra))
         nbytes = sum(
             estimate_record_bytes(v) for v in partial_values
         )
@@ -2596,9 +2301,9 @@ JobExecutor._HANDLERS = {
     CSource: JobExecutor._exec_source,
     CParallelize: JobExecutor._exec_parallelize,
     CBagRef: JobExecutor._exec_bag_ref,
-    CMap: JobExecutor._exec_map,
-    CFlatMap: JobExecutor._exec_flat_map,
-    CFilter: JobExecutor._exec_filter,
+    CMap: JobExecutor._exec_element_wise,
+    CFlatMap: JobExecutor._exec_element_wise,
+    CFilter: JobExecutor._exec_element_wise,
     CChain: JobExecutor._exec_chain,
     CEqJoin: JobExecutor._exec_eq_join,
     CSemiJoin: JobExecutor._exec_semi_join,

@@ -7,7 +7,8 @@ machine.  A :class:`TaskScheduler` runs the partition tasks of a job
 DAG out of order in one of three modes:
 
 * ``serial`` — the default: tasks run inline, in order, in the driver
-  process.  Zero overhead, bit-identical to the pre-scheduler code.
+  process — the same task runners the parallel modes use, with no
+  pool, pickling, or speculation.
 * ``threads`` — tasks fan out on a ``ThreadPoolExecutor``.  Kernels
   and UDF closures are shared by reference; useful for I/O-bound UDFs
   and as a GIL-bound sanity midpoint between serial and processes.
@@ -120,6 +121,24 @@ def default_max_parallel_tasks() -> int:
 # -- content fingerprints ---------------------------------------------------
 
 
+def _memo_hash(value: Any) -> int:
+    """``stable_hash``, with sets and dicts digested member by member.
+
+    ``stable_hash`` xors set and dict members together, and ints hash
+    to themselves, so ``set()``, ``{0}`` and ``{1, 2, 3}`` share one
+    value.  That is harmless for partitioning, but a worker-memo key
+    that collides serves one spec's artifact to another spec's tasks.
+    Here the member hashes are sorted and combined positionally.
+    """
+    if isinstance(value, (set, frozenset)):
+        return stable_hash(("set", sorted(map(stable_hash, value))))
+    if isinstance(value, dict):
+        return stable_hash(
+            ("dict", sorted(map(stable_hash, value.items())))
+        )
+    return stable_hash(value)
+
+
 def _value_digest(value: Any) -> tuple | None:
     """A process-independent digest of one captured binding value.
 
@@ -143,7 +162,7 @@ def _value_digest(value: Any) -> tuple | None:
             return ("fn", module, qualname)
         return None
     try:
-        return ("val", stable_hash(value))
+        return ("val", _memo_hash(value))
     except EngineError:
         return None
 
@@ -723,7 +742,7 @@ class BroadcastSemiSpec(TaskSpec):
                     "broadcast-semi",
                     dx,
                     anti,
-                    stable_hash(set(keys)),
+                    _memo_hash(set(keys)),
                 )
             except (EngineError, TypeError):
                 fingerprint = None

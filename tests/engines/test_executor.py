@@ -10,7 +10,9 @@ from repro.comprehension.exprs import (
     BinOp,
     Compare,
     Const,
+    Index,
     Ref,
+    TupleExpr,
 )
 from repro.core.databag import DataBag
 from repro.engines.cluster import ClusterConfig
@@ -82,7 +84,10 @@ class TestElementwiseOperators:
         )
         assert result == DataBag([1, 2])
 
-    def test_filter_preserves_partitioner(self):
+    @pytest.mark.parametrize("kind", ["map", "filter", "flat_map"])
+    def test_partitioner_rule(self, kind):
+        """Only a filter keeps its input's hash partitioning (an
+        identity map is not recognized as carrying the key through)."""
         eng = engine()
         from repro.engines.executor import JobExecutor
 
@@ -91,32 +96,27 @@ class TestElementwiseOperators:
         shuffled = ex.shuffle_by_key(
             ex.parallelize_local([R(1, 1), R(2, 2)]), key_k()
         )
-        filtered = ex._exec_filter(
-            CFilter(
+        source = _env_ref(ex, shuffled)
+        if kind == "map":
+            comb = CMap(fn=ScalarFn.identity("x"), input=source)
+        elif kind == "filter":
+            comb = CFilter(
                 predicate=ScalarFn(
                     ("x",), Compare(">", Attr(Ref("x"), "v"), Const(0))
                 ),
-                input=_env_ref(ex, shuffled),
+                input=source,
             )
-        )
-        assert filtered.partitioner is not None
-
-    def test_map_destroys_partitioner(self):
-        eng = engine()
-        from repro.engines.executor import JobExecutor
-
-        job = eng._new_job()
-        ex = JobExecutor(eng, {}, job)
-        shuffled = ex.shuffle_by_key(
-            ex.parallelize_local([R(1, 1)]), key_k()
-        )
-        mapped = ex._exec_map(
-            CMap(
-                fn=ScalarFn.identity("x"),
-                input=_env_ref(ex, shuffled),
+        else:
+            comb = CFlatMap(
+                fn=ScalarFn(("x",), TupleExpr((Ref("x"),))),
+                input=source,
             )
-        )
-        assert mapped.partitioner is None
+        out = ex._exec(comb)
+        assert out.partitions == shuffled.partitions
+        if kind == "filter":
+            assert out.partitioner is shuffled.partitioner
+        else:
+            assert out.partitioner is None
 
 
 class TestShuffleAndJoin:
@@ -395,6 +395,66 @@ class TestBroadcastUdfs:
         env = {"xs": DataBag([1]), "k": 41}
         assert run_bag(eng, plan, env) == DataBag([42])
         assert eng.metrics.broadcast_bytes == 0
+
+
+class TestSerialModeDispatch:
+    def test_serial_operators_run_through_the_task_graph(
+        self, monkeypatch
+    ):
+        """Serial mode runs the scheduler's task runners inline: every
+        per-partition operator reaches ``TaskScheduler.run_graph``."""
+        import dataclasses
+
+        from repro.engines.scheduler import TaskScheduler
+
+        kinds: list[str] = []
+        original = TaskScheduler.run_graph
+
+        def spy(self, stages, metrics=None):
+            def recording(stage):
+                def build(results):
+                    tasks = stage.build(results)
+                    kinds.extend(t.spec.kind for t in tasks)
+                    return tasks
+
+                return dataclasses.replace(stage, build=build)
+
+            return original(
+                self, [recording(s) for s in stages], metrics=metrics
+            )
+
+        monkeypatch.setattr(TaskScheduler, "run_graph", spy)
+        eng = engine(execution_mode="serial")
+        eng.broadcast_join_threshold = 0  # force the repartition join
+        join = CEqJoin(
+            kx=key_k(),
+            ky=key_k(),
+            left=CBagRef(name="xs"),
+            right=CBagRef(name="ys"),
+        )
+        groups = CGroupBy(
+            key=ScalarFn(("p",), Attr(Index(Ref("p"), Const(0)), "k")),
+            input=join,
+        )
+        plan = CAggBy(
+            key=ScalarFn(("g",), Attr(Ref("g"), "key")),
+            specs=(AlgebraSpec("count"),),
+            input=groups,
+        )
+        env = {
+            "xs": DataBag([R(i % 3, i) for i in range(12)]),
+            "ys": DataBag([R(k, 0) for k in range(3)]),
+        }
+        result = run_bag(eng, plan, env)
+        assert sorted((r.key, r.aggs) for r in result) == [
+            (0, (1,)),
+            (1, (1,)),
+            (2, (1,)),
+        ]
+        assert eng.metrics.repartition_joins == 1
+        assert {"bucket", "join-probe", "group", "agg-map", "agg-merge"} <= (
+            set(kinds)
+        )
 
 
 def _env_ref(executor, bag):

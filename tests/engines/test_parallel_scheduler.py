@@ -25,6 +25,7 @@ from repro.engines.chainkernel import (
 from repro.engines.cluster import ClusterConfig, stable_hash
 from repro.engines.metrics import Metrics
 from repro.engines.scheduler import (
+    BroadcastSemiSpec,
     KernelSpec,
     PartitionTask,
     TaskScheduler,
@@ -309,3 +310,32 @@ class TestStableHashCoverage:
     def test_unhashable_object_raises(self):
         with pytest.raises(EngineError, match="stable partition hash"):
             stable_hash(object())
+
+
+class TestWorkerMemoFingerprints:
+    """Specs with different content must never share a worker-memo key.
+
+    ``stable_hash`` xors set members, so each group below hashes to
+    one value; a shared fingerprint would let a warm worker serve one
+    spec's prebuilt artifact (a broadcast key set, a closure over a
+    bound set) to another spec's tasks."""
+
+    _COLLIDING = ([], [0], [1, 2, 3], [1], [2, 3])
+
+    def test_broadcast_semi_key_sets(self):
+        key = UdfRef(("x",), Ref("x"))
+        fingerprints = {
+            BroadcastSemiSpec(keys, key, False).fingerprint
+            for keys in self._COLLIDING
+        }
+        assert len(fingerprints) == len(self._COLLIDING)
+
+    def test_set_and_dict_bindings(self):
+        values = [set(keys) for keys in self._COLLIDING] + [
+            {0: 1, 1: 0},
+            {0: 0, 1: 1},
+        ]
+        digests = {
+            UdfRef(("x",), Ref("x"), {"s": v}).digest() for v in values
+        }
+        assert len(digests) == len(values)
