@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.algebra.fold import FoldAlgebra, product_algebra
+from repro.algebra.fold import FoldAlgebra
 from repro.core.databag import DataBag
 from repro.errors import ComprehensionError
 
@@ -840,6 +840,14 @@ class AlgebraSpec:
         base = builder(*(a.evaluate(env) for a in self.args))
         if self.head is None and not self.guards:
             return base
+        return dataclasses.replace(
+            base, singleton=self.fused_singleton(base, env)
+        )
+
+    def fused_singleton(
+        self, base: FoldAlgebra, env: Env
+    ) -> Callable[[Any], Any]:
+        """The interpreted ``s(head(x)) if all guards else zero``."""
         var = self.var or "_x"
         head, guards = self.head, self.guards
 
@@ -850,12 +858,7 @@ class AlgebraSpec:
             value = head.evaluate(inner) if head is not None else x
             return base.singleton(value)
 
-        return FoldAlgebra(
-            zero=base.zero,
-            singleton=singleton,
-            union=base.union,
-            name=base.name,
-        )
+        return singleton
 
     def fused_with(
         self, var: str, head: Expr | None, guards: tuple[Expr, ...]
@@ -870,11 +873,314 @@ class AlgebraSpec:
         )
 
 
-def make_product_spec_algebra(
+# ---------------------------------------------------------------------------
+# Generated fold code
+# ---------------------------------------------------------------------------
+#
+# ``make_algebra`` is the semantic oracle for a fused fold, but its
+# singleton tree-walks the fused head and guards through ``evaluate``
+# with a fresh ``Env.child`` for every record.  ``compile_aggregation``
+# and ``compile_fold`` instead render a whole spec list as one
+# generated Python function (the approach of Giarrusso et al.: reify
+# the query, then compile the reified form).  Heads and guards are
+# inlined through ``NativeCodegen`` — the subset ``compile_scalar``
+# compiles — and the zero, singleton and union of the built-in aliases
+# are inlined as well.  For the specs ``sum(l.quantity)`` and ``count``
+# the per-record sink of an aggregation reads::
+#
+#     def _ag_accumulate(_ag_x):
+#         _ag_k = _ag_key(_ag_x)
+#         _ag_e = _ag_get(_ag_k)
+#         if _ag_e is None:
+#             _ag_a = 0
+#             _ag_s0 = (_ag_x).quantity
+#             _ag_r0 = _ag_a + _ag_s0          # union(zero(), s)
+#             ...
+#             _ag_acc[_ag_k] = [_ag_r0, _ag_r1]
+#             return
+#         _ag_s0 = (_ag_x).quantity
+#         _ag_a = _ag_e[0]
+#         _ag_e[0] = _ag_a + _ag_s0
+#         _ag_s1 = 1
+#         _ag_a = _ag_e[1]
+#         _ag_e[1] = _ag_a + _ag_s1
+#
+# Every step the interpreter takes is kept, in the same order: the
+# first union per key is ``union(zero(), s)`` and a failed guard still
+# unions the zero in, so results are bit-identical (``0 + -0.0`` is
+# ``0.0`` on both sides).  A spec whose head or guard falls outside the
+# subset calls its interpreted ``fused_singleton`` from inside the same
+# function and is listed in ``FoldCode.fallbacks``.
+
+#: every name the generated fold code defines starts with this prefix;
+#: a free name that does too cannot share the namespace, so its spec
+#: takes the interpreted singleton
+_FOLD_PREFIX = "_ag_"
+
+#: alias -> (zero, singleton of ``{v}``, union of ``{a}`` and ``{b}``),
+#: spelled exactly like the :data:`FOLD_ALIASES` lambdas; ``{f}`` is
+#: the alias's evaluated argument (a predicate or a key function)
+_INLINE_FOLDS: dict[str, tuple[str, str, str]] = {
+    "sum": ("0", "{v}", "{a} + {b}"),
+    "product": ("1", "{v}", "{a} * {b}"),
+    "count": ("0", "1", "{a} + {b}"),
+    "is_empty": ("True", "False", "{a} and {b}"),
+    "non_empty": ("False", "True", "{a} or {b}"),
+    "min": (
+        "None",
+        "{v}",
+        "{b} if {a} is None else {a} if {b} is None "
+        "else _ag_min({a}, {b})",
+    ),
+    "max": (
+        "None",
+        "{v}",
+        "{b} if {a} is None else {a} if {b} is None "
+        "else _ag_max({a}, {b})",
+    ),
+    "exists": ("False", "_ag_bool({f}({v}))", "{a} or {b}"),
+    "forall": ("True", "_ag_bool({f}({v}))", "{a} and {b}"),
+    "min_by": (
+        "None",
+        "{v}",
+        "{b} if {a} is None else {a} if {b} is None "
+        "else ({a} if {f}({a}) <= {f}({b}) else {b})",
+    ),
+    "max_by": (
+        "None",
+        "{v}",
+        "{b} if {a} is None else {a} if {b} is None "
+        "else ({a} if {f}({a}) >= {f}({b}) else {b})",
+    ),
+}
+
+#: any other alias (a user ``fold``) calls its algebra's own callables
+_CALLED_FOLD = ("{z}()", "{s}({v})", "{u}({a}, {b})")
+
+
+@dataclass(frozen=True)
+class FoldCode:
+    """Generated code for one ``aggBy`` spec list or one ``fold`` spec.
+
+    For an aggregation, ``accumulator(acc, key)`` returns the per-record
+    sink folding records into ``acc`` (key -> list of accumulators, in
+    first-seen key order), and ``merge(pairs)`` merges ``(key,
+    accumulators)`` pairs into such a dict.  For a fold, ``fold(xs)``
+    is one partition's partial and ``merge(partials)`` combines the
+    partials.  ``fallbacks`` lists ``(spec index, reason)`` for every
+    spec that runs its interpreted singleton.
+    """
+
+    source: str
+    fallbacks: tuple[tuple[int, str], ...]
+    merge: Callable
+    accumulator: Callable | None = None
+    fold: Callable | None = None
+
+
+def _check_lambda_params(node: Expr | None) -> None:
+    """Reject lambdas whose parameters would shadow generated names."""
+    for sub in walk(node) if node is not None else ():
+        if isinstance(sub, Lambda):
+            for p in sub.params:
+                if p.startswith(_FOLD_PREFIX):
+                    raise NotCompilable(p)
+
+
+class _SpecSource:
+    """Source fragments for one spec: zero, singleton lines, union."""
+
+    def __init__(
+        self, j: int, spec: AlgebraSpec, env: Env, codegen: NativeCodegen
+    ) -> None:
+        _arity, builder = FOLD_ALIASES[spec.alias]
+        args = [a.evaluate(env) for a in spec.args]
+        base = builder(*args)
+        names = {
+            "f": f"_ag_f{j}",
+            "z": f"_ag_z{j}",
+            "s": f"_ag_sg{j}",
+            "u": f"_ag_u{j}",
+        }
+        namespace = codegen.globals_
+        if args:
+            namespace[names["f"]] = args[0]
+        namespace[names["z"]] = base.zero
+        namespace[names["s"]] = base.singleton
+        namespace[names["u"]] = base.union
+        zero, self._singleton, self._union = _INLINE_FOLDS.get(
+            spec.alias, _CALLED_FOLD
+        )
+        self._names = names
+        self._j = j
+        self.zero = zero.format(**names)
+        self.fallback: str | None = None
+        self._head: str | None = None
+        self._guards: list[str] = []
+        if spec.head is None and not spec.guards:
+            return
+        bound = {spec.var or "_x": "_ag_x"}
+
+        def resolve(name: str) -> Any:
+            if name.startswith(_FOLD_PREFIX):
+                raise KeyError(name)
+            return env.lookup(name)
+
+        try:
+            for node in (spec.head, *spec.guards):
+                _check_lambda_params(node)
+            if spec.head is not None:
+                self._head = codegen.emit(spec.head, bound, resolve)
+            self._guards = [
+                codegen.emit(g, bound, resolve) for g in spec.guards
+            ]
+        except NotCompilable as exc:
+            self.fallback = f"not compilable: {exc}"
+            namespace[f"_ag_fb{j}"] = spec.fused_singleton(base, env)
+
+    def union(self, a: str, b: str) -> str:
+        """Source of ``union(a, b)`` over two local names."""
+        return self._union.format(a=a, b=b, **self._names)
+
+    def singleton(self, target: str, depth: int) -> list[str]:
+        """Statements binding ``target`` to the record's singleton."""
+        ind = "    " * depth
+        if self.fallback is not None:
+            return [f"{ind}{target} = _ag_fb{self._j}(_ag_x)"]
+        value = self._head if self._head is not None else "_ag_x"
+        body = []
+        if self._head is not None and "{v}" not in self._singleton:
+            # The alias ignores the value, but the head still runs.
+            body.append(self._head)
+        body.append(
+            f"{target} = "
+            + self._singleton.format(v=value, **self._names)
+        )
+        if not self._guards:
+            return [ind + line for line in body]
+        lines = [f"{ind}if {' and '.join(self._guards)}:"]
+        lines.extend(f"{ind}    {line}" for line in body)
+        lines.append(f"{ind}else:")
+        lines.append(f"{ind}    {target} = {self.zero}")
+        return lines
+
+
+def _spec_sources(
     specs: tuple[AlgebraSpec, ...], env: Env
-) -> FoldAlgebra:
-    """Banana-split at runtime: product of the specs' concrete algebras."""
-    return product_algebra([spec.make_algebra(env) for spec in specs])
+) -> tuple[NativeCodegen, list[_SpecSource]]:
+    codegen = NativeCodegen()
+    codegen.globals_.update(
+        _ag_min=min, _ag_max=max, _ag_bool=bool, _ag_list=list
+    )
+    return codegen, [
+        _SpecSource(j, spec, env, codegen) for j, spec in enumerate(specs)
+    ]
+
+
+def _build_fold_code(
+    lines: list[str],
+    codegen: NativeCodegen,
+    parts: list[_SpecSource],
+    **functions: str,
+) -> FoldCode:
+    """Compile the generated source into a :class:`FoldCode`.
+
+    ``functions`` maps each ``FoldCode`` field to the generated name it
+    takes.  The functions are popped out of the namespace they were
+    defined in, so no function -> globals -> function cycle is left for
+    the garbage collector on every job.
+    """
+    source = "\n".join(lines)
+    namespace = codegen.globals_
+    code = compile(source, "<fold-code>", "exec")
+    exec(code, namespace)  # noqa: S102 - compiler-generated source
+    return FoldCode(
+        source=source,
+        fallbacks=tuple(
+            (j, part.fallback)
+            for j, part in enumerate(parts)
+            if part.fallback is not None
+        ),
+        **{field: namespace.pop(name) for field, name in functions.items()},
+    )
+
+
+def compile_aggregation(
+    specs: tuple[AlgebraSpec, ...], env: "Env | Mapping[str, Any] | None"
+) -> FoldCode:
+    """Generate the accumulate and merge functions of an ``aggBy``."""
+    codegen, parts = _spec_sources(tuple(specs), Env.of(env))
+    lines = [
+        "def _ag_accumulator(_ag_acc, _ag_key):",
+        "    _ag_get = _ag_acc.get",
+        "    def _ag_accumulate(_ag_x):",
+        "        _ag_k = _ag_key(_ag_x)",
+        "        _ag_e = _ag_get(_ag_k)",
+        "        if _ag_e is None:",
+    ]
+    # First record of a key: union(zero(), s), zero made first.
+    for j, part in enumerate(parts):
+        s = f"_ag_s{j}"
+        lines.append(f"            _ag_a = {part.zero}")
+        lines.extend(part.singleton(s, 3))
+        lines.append(f"            _ag_r{j} = {part.union('_ag_a', s)}")
+    firsts = ", ".join(f"_ag_r{j}" for j in range(len(parts)))
+    lines.append(f"            _ag_acc[_ag_k] = [{firsts}]")
+    lines.append("            return")
+    for j, part in enumerate(parts):
+        s = f"_ag_s{j}"
+        lines.extend(part.singleton(s, 2))
+        lines.append(f"        _ag_a = _ag_e[{j}]")
+        lines.append(f"        _ag_e[{j}] = {part.union('_ag_a', s)}")
+    lines.append("    return _ag_accumulate")
+    lines.extend(
+        [
+            "def _ag_merge(_ag_pairs):",
+            "    _ag_merged = {}",
+            "    _ag_get = _ag_merged.get",
+            "    for _ag_k, _ag_v in _ag_pairs:",
+            "        _ag_e = _ag_get(_ag_k)",
+            "        if _ag_e is None:",
+            "            _ag_merged[_ag_k] = _ag_list(_ag_v)",
+            "            continue",
+        ]
+    )
+    for j, part in enumerate(parts):
+        lines.append(f"        _ag_a = _ag_e[{j}]")
+        lines.append(f"        _ag_b = _ag_v[{j}]")
+        lines.append(f"        _ag_e[{j}] = {part.union('_ag_a', '_ag_b')}")
+    lines.append("    return _ag_merged")
+    return _build_fold_code(
+        lines,
+        codegen,
+        parts,
+        accumulator="_ag_accumulator",
+        merge="_ag_merge",
+    )
+
+
+def compile_fold(
+    spec: AlgebraSpec, env: "Env | Mapping[str, Any] | None"
+) -> FoldCode:
+    """Generate the per-partition and merge functions of a ``fold``."""
+    codegen, parts = _spec_sources((spec,), Env.of(env))
+    (part,) = parts
+    lines = [
+        "def _ag_fold(_ag_xs):",
+        f"    _ag_r = {part.zero}",
+        "    for _ag_x in _ag_xs:",
+        *part.singleton("_ag_s0", 2),
+        f"        _ag_r = {part.union('_ag_r', '_ag_s0')}",
+        "    return _ag_r",
+        "def _ag_merge(_ag_partials):",
+        f"    _ag_r = {part.zero}",
+        "    for _ag_b in _ag_partials:",
+        f"        _ag_r = {part.union('_ag_r', '_ag_b')}",
+        "    return _ag_r",
+    ]
+    return _build_fold_code(
+        lines, codegen, parts, fold="_ag_fold", merge="_ag_merge"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,31 @@ def stable_hash(value: Any) -> int:
     )
 
 
+def content_hash(value: Any) -> int:
+    """``stable_hash`` for content digests: sets and dicts member-wise.
+
+    ``stable_hash`` xors set and dict members together, and ints hash
+    to themselves, so ``set()``, ``{0}`` and ``{1, 2, 3}`` share one
+    value.  That is harmless for partitioning (and partition placement
+    depends on it, so it stays), but a digest that collides serves one
+    input's cached artifact or result to another.  Here the member
+    hashes of sets and dicts are sorted and combined positionally, at
+    any depth of tuples and lists; for values without sets or dicts
+    the result equals ``stable_hash``.
+    """
+    if isinstance(value, (set, frozenset)):
+        return stable_hash(("set", sorted(map(content_hash, value))))
+    if isinstance(value, dict):
+        return stable_hash(
+            ("dict", sorted(map(content_hash, value.items())))
+        )
+    if isinstance(value, tuple):
+        return stable_hash(tuple(map(content_hash, value)))
+    if isinstance(value, list):
+        return stable_hash(list(map(content_hash, value)))
+    return stable_hash(value)
+
+
 def hash_partition_index(key_value: Any, num_partitions: int) -> int:
     """Deterministic partition index for a key value."""
     return stable_hash(key_value) % num_partitions

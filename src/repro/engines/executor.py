@@ -28,9 +28,12 @@ from repro.comprehension.exprs import (
     Call,
     Const,
     Env,
+    FoldCode,
     Index,
     Ref,
     TupleExpr,
+    compile_aggregation,
+    compile_fold,
 )
 from repro.core.databag import DataBag
 from repro.core.grp import Grp
@@ -192,6 +195,9 @@ class JobExecutor:
         #: input schema signature): the key column's ``VectorKernel``,
         #: or ``None`` after a once-counted unsupported-UDF fallback
         self._xkernel_memo: dict[tuple, VectorKernel | None] = {}
+        #: per-job generated fold code (by AggBy/Fold identity), so a
+        #: spec's interpreter fallback is traced once
+        self._fold_code_memo: dict[int, FoldCode] = {}
         # State shared with nested executors spawned for lazy lineages
         # within the *same* job (so one DeferredBag consumed twice in a
         # job — a self-join over a lazy bag — executes once).
@@ -2082,9 +2088,8 @@ class JobExecutor:
         for spec in comb.specs:
             spec_names |= spec.free_vars()
         bindings, spec_extra = self._udf_bindings(spec_names)
-        algebras = [
-            spec.make_algebra(Env.of(bindings)) for spec in comb.specs
-        ]
+        code = self._fold_code(comb, bindings)
+        n_specs = len(comb.specs)
         extra = key_extra + spec_extra
 
         # The chain's output partitioning decides shuffle alignment.
@@ -2108,7 +2113,7 @@ class JobExecutor:
             comb.specs,
             bindings,
             steps=kernel.steps if kernel is not None else None,
-            prepared=(kernel, key_fn, algebras),
+            prepared=(kernel, key_fn, code),
         )
         tasks = [
             PartitionTask(i, mspec, p, "agg-map")
@@ -2126,7 +2131,7 @@ class JobExecutor:
                 chain_invocations += sum(entered)
             partials.append(pairs)
             self._charge_cpu(
-                i, n_agg_inputs * (len(algebras) + extra) + len(pairs)
+                i, n_agg_inputs * (n_specs + extra) + len(pairs)
             )
         if kernel is not None:
             self.engine.metrics.udf_invocations += chain_invocations
@@ -2158,7 +2163,7 @@ class JobExecutor:
             )
         # Phase 3: reducer-side merge.
         out: list[list[Any]] = []
-        rspec = AggMergeSpec(comb.specs, bindings, prepared=tuple(algebras))
+        rspec = AggMergeSpec(comb.specs, bindings, prepared=code)
         tasks = [
             PartitionTask(i, rspec, p, "agg-merge")
             for i, p in enumerate(partial_bag.partitions)
@@ -2167,7 +2172,7 @@ class JobExecutor:
             zip(partial_bag.partitions, self._run_stage(tasks))
         ):
             out.append(rows)
-            self._charge_cpu(i, len(p) * len(algebras) + len(rows))
+            self._charge_cpu(i, len(p) * n_specs + len(rows))
         return PartitionedBag(out, _grp_partitioner(partial_bag, "key"))
 
     def _exec_distinct(self, comb: CDistinct) -> PartitionedBag:
@@ -2244,8 +2249,8 @@ class JobExecutor:
             )
         source = self._exec(comb.input)
         bindings, extra = self._udf_bindings(comb.spec.free_vars())
-        algebra = comb.spec.make_algebra(Env.of(bindings))
-        fspec = FoldSpec(comb.spec, bindings, prepared=algebra)
+        code = self._fold_code(comb, bindings)
+        fspec = FoldSpec(comb.spec, bindings, prepared=code)
         tasks = [
             PartitionTask(i, fspec, p, "fold")
             for i, p in enumerate(source.partitions)
@@ -2268,7 +2273,34 @@ class JobExecutor:
                 rows_in=source.count(),
                 partials=len(partial_values),
             )
-        return algebra.merge(partial_values)
+        return code.merge(partial_values)
+
+    def _fold_code(
+        self, comb: CAggBy | CFold, bindings: dict[str, Any]
+    ) -> FoldCode:
+        """Generated fold code for an aggregation or fold, memoized per
+        job; every spec left on the interpreter is traced with why."""
+        code = self._fold_code_memo.get(id(comb))
+        if code is not None:
+            return code
+        if isinstance(comb, CAggBy):
+            specs = comb.specs
+            code = compile_aggregation(specs, bindings)
+        else:
+            specs = (comb.spec,)
+            code = compile_fold(comb.spec, bindings)
+        self._fold_code_memo[id(comb)] = code
+        tracer = self.engine.tracer
+        if tracer is not None:
+            for j, reason in code.fallbacks:
+                tracer.event(
+                    "fold fallback",
+                    ts=self.job.trace_ts(),
+                    op=comb.describe(),
+                    spec=f"{j}:{specs[j].alias}",
+                    reason=reason,
+                )
+        return code
 
     # -- dispatch table -------------------------------------------------------------------
 

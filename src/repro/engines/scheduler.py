@@ -62,7 +62,12 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.comprehension.exprs import AlgebraSpec, Env
+from repro.comprehension.exprs import (
+    AlgebraSpec,
+    FoldCode,
+    compile_aggregation,
+    compile_fold,
+)
 from repro.comprehension.pretty import pretty
 from repro.core.databag import DataBag
 from repro.core.grp import Grp
@@ -81,7 +86,11 @@ from repro.engines.columnar import (
     probe_join,
     scatter_batch,
 )
-from repro.engines.cluster import hash_partition_index, stable_hash
+from repro.engines.cluster import (
+    content_hash,
+    hash_partition_index,
+    stable_hash,
+)
 from repro.errors import EngineError
 from repro.lowering.combinators import AggResult, ScalarFn
 
@@ -121,24 +130,6 @@ def default_max_parallel_tasks() -> int:
 # -- content fingerprints ---------------------------------------------------
 
 
-def _memo_hash(value: Any) -> int:
-    """``stable_hash``, with sets and dicts digested member by member.
-
-    ``stable_hash`` xors set and dict members together, and ints hash
-    to themselves, so ``set()``, ``{0}`` and ``{1, 2, 3}`` share one
-    value.  That is harmless for partitioning, but a worker-memo key
-    that collides serves one spec's artifact to another spec's tasks.
-    Here the member hashes are sorted and combined positionally.
-    """
-    if isinstance(value, (set, frozenset)):
-        return stable_hash(("set", sorted(map(stable_hash, value))))
-    if isinstance(value, dict):
-        return stable_hash(
-            ("dict", sorted(map(stable_hash, value.items())))
-        )
-    return stable_hash(value)
-
-
 def _value_digest(value: Any) -> tuple | None:
     """A process-independent digest of one captured binding value.
 
@@ -152,7 +143,7 @@ def _value_digest(value: Any) -> tuple | None:
         return ("type", value.__module__, value.__qualname__)
     if isinstance(value, DataBag):
         try:
-            return ("bag", stable_hash(value.fetch()))
+            return ("bag", content_hash(value.fetch()))
         except EngineError:
             return None
     if callable(value):
@@ -162,7 +153,7 @@ def _value_digest(value: Any) -> tuple | None:
             return ("fn", module, qualname)
         return None
     try:
-        return ("val", _memo_hash(value))
+        return ("val", content_hash(value))
     except EngineError:
         return None
 
@@ -346,8 +337,9 @@ class AggMapSpec(TaskSpec):
     """Mapper-side partial aggregation, optionally fused with a chain.
 
     The task streams a partition (through the chain kernel when one is
-    fused in) straight into per-key fold-algebra accumulators and
-    returns ``(pairs, counts)`` where ``pairs`` is the insertion-ordered
+    fused in) straight into the generated accumulate function of the
+    spec list (:func:`~repro.comprehension.exprs.compile_aggregation`)
+    and returns ``(pairs, counts)`` where ``pairs`` is the insertion-ordered
     ``[(key, accumulator_tuple), ...]`` list and ``counts`` the kernel
     counters (``None`` without a fused chain).
     """
@@ -388,14 +380,12 @@ class AggMapSpec(TaskSpec):
             self._prepared = prepared
 
     def build(self) -> tuple:
-        """(kernel | None, key closure, concrete fold algebras)."""
+        """(kernel | None, key closure, generated fold code)."""
         kernel = (
             build_chain_kernel(self.steps) if self.steps is not None else None
         )
-        key_fn = self.key.compile()
-        env = Env.of(self.bindings)
-        algebras = [s.make_algebra(env) for s in self.specs]
-        return kernel, key_fn, algebras
+        code = compile_aggregation(self.specs, self.bindings)
+        return kernel, self.key.compile(), code
 
 
 class AggMergeSpec(TaskSpec):
@@ -407,7 +397,7 @@ class AggMergeSpec(TaskSpec):
         self,
         specs: Sequence[AlgebraSpec],
         bindings: dict[str, Any],
-        prepared: tuple | None = None,
+        prepared: FoldCode | None = None,
     ) -> None:
         bindings_digest = _bindings_digest(bindings)
         fingerprint = None
@@ -423,10 +413,9 @@ class AggMergeSpec(TaskSpec):
         if prepared is not None:
             self._prepared = prepared
 
-    def build(self) -> tuple:
-        """The concrete fold algebras, rebuilt from their symbolic IR."""
-        env = Env.of(self.bindings)
-        return tuple(s.make_algebra(env) for s in self.specs)
+    def build(self) -> FoldCode:
+        """The generated merge, rebuilt from the symbolic spec IR."""
+        return compile_aggregation(self.specs, self.bindings)
 
 
 class GroupSpec(TaskSpec):
@@ -673,7 +662,7 @@ class BroadcastProbeSpec(TaskSpec):
                     ds,
                     db,
                     small_first,
-                    stable_hash(records),
+                    content_hash(records),
                 )
             except EngineError:
                 fingerprint = None
@@ -742,7 +731,7 @@ class BroadcastSemiSpec(TaskSpec):
                     "broadcast-semi",
                     dx,
                     anti,
-                    _memo_hash(set(keys)),
+                    content_hash(set(keys)),
                 )
             except (EngineError, TypeError):
                 fingerprint = None
@@ -767,7 +756,7 @@ class FoldSpec(TaskSpec):
         self,
         spec: AlgebraSpec,
         bindings: dict[str, Any],
-        prepared: Any | None = None,
+        prepared: FoldCode | None = None,
     ) -> None:
         bindings_digest = _bindings_digest(bindings)
         fingerprint = None
@@ -783,9 +772,9 @@ class FoldSpec(TaskSpec):
         if prepared is not None:
             self._prepared = prepared
 
-    def build(self) -> Any:
-        """The concrete fold algebra over the shipped bindings."""
-        return self.spec.make_algebra(Env.of(self.bindings))
+    def build(self) -> FoldCode:
+        """The generated fold over the shipped bindings."""
+        return compile_fold(self.spec, self.bindings)
 
 
 # -- task runners -----------------------------------------------------------
@@ -805,20 +794,9 @@ def _run_vector_kernel(kernel: VectorKernel, batch: ColumnBatch) -> tuple:
 
 def _run_agg_map(prepared: tuple, partition: list[Any]) -> tuple:
     """Partial-aggregate a partition (chain-fused when steps shipped)."""
-    kernel, key_fn, algebras = prepared
+    kernel, key_fn, code = prepared
     acc: dict[Any, list[Any]] = {}
-
-    def accumulate(x: Any) -> None:
-        k = key_fn(x)
-        entry = acc.get(k)
-        if entry is None:
-            acc[k] = [
-                a.union(a.zero(), a.singleton(x)) for a in algebras
-            ]
-        else:
-            for j, a in enumerate(algebras):
-                entry[j] = a.union(entry[j], a.singleton(x))
-
+    accumulate = code.accumulator(acc, key_fn)
     if kernel is None:
         for x in partition:
             accumulate(x)
@@ -828,16 +806,9 @@ def _run_agg_map(prepared: tuple, partition: list[Any]) -> tuple:
     return [(k, tuple(v)) for k, v in acc.items()], counts
 
 
-def _run_agg_merge(algebras: tuple, partition: list[Any]) -> list[Any]:
+def _run_agg_merge(code: FoldCode, partition: list[Any]) -> list[Any]:
     """Merge shuffled ``(key, accumulators)`` pairs into results."""
-    merged: dict[Any, list[Any]] = {}
-    for k, accs in partition:
-        entry = merged.get(k)
-        if entry is None:
-            merged[k] = list(accs)
-        else:
-            for j, a in enumerate(algebras):
-                entry[j] = a.union(entry[j], accs[j])
+    merged = code.merge(partition)
     return [AggResult(k, tuple(v)) for k, v in merged.items()]
 
 
@@ -972,9 +943,9 @@ def _run_broadcast_semi(prepared: tuple, partition: list[Any]) -> list[Any]:
     return [x for x in partition if kx(x) in keys]
 
 
-def _run_fold(algebra: Any, partition: list[Any]) -> Any:
+def _run_fold(code: FoldCode, partition: list[Any]) -> Any:
     """One partition's fold partial."""
-    return algebra(partition)
+    return code.fold(partition)
 
 
 _RUNNERS: dict[str, Callable[[Any, Any], Any]] = {

@@ -34,7 +34,7 @@ from types import ModuleType
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.databag import DataBag
-from repro.engines.cluster import stable_hash
+from repro.engines.cluster import content_hash
 from repro.engines.dfs import SimulatedDFS
 from repro.errors import EngineError
 from repro.frontend.driver_ir import DriverProgram, pretty_program
@@ -135,7 +135,7 @@ def _memoized_file_digest(stored: Any) -> int | None:
     if key in _FILE_DIGESTS:
         return _FILE_DIGESTS[key]
     try:
-        content = stable_hash(stored.records)
+        content = content_hash(stored.records)
     except EngineError:
         return None
     _FILE_DIGESTS[key] = content
@@ -149,10 +149,12 @@ def value_digest(
     """A process-independent content digest of one input value.
 
     Extends the closed set of :func:`~repro.engines.cluster.
-    stable_hash` with the shapes that appear in captured driver
-    bindings: classes and named functions digest by qualified name,
-    modules by name, ``DataBag``s by content, and repo-internal value
-    objects (e.g. I/O formats) by class plus instance attributes.
+    content_hash` (``stable_hash`` with sets and dicts digested member
+    by member, so ``set()`` and ``{0}`` differ) with the shapes that
+    appear in captured driver bindings: classes and named functions
+    digest by qualified name, modules by name, staged files and
+    ``DataBag``s by content, and repo-internal value objects (e.g. I/O
+    formats) by class plus instance attributes.
     Returns ``None`` for anything without a stable identity — never a
     guess.
     """
@@ -170,7 +172,7 @@ def value_digest(
         return ("module", value.__name__)
     if isinstance(value, DataBag):
         try:
-            return ("bag", stable_hash(value.fetch()))
+            return ("bag", content_hash(value.fetch()))
         except EngineError:
             return None
     if callable(value):
@@ -180,7 +182,7 @@ def value_digest(
             return ("fn", module, qualname)
         return None
     try:
-        return ("value", stable_hash(value))
+        return ("value", content_hash(value))
     except EngineError:
         pass
     # Containers/records mixing plain data with classes or callables

@@ -25,6 +25,7 @@ from repro.engines.chainkernel import (
 from repro.engines.cluster import ClusterConfig, stable_hash
 from repro.engines.metrics import Metrics
 from repro.engines.scheduler import (
+    BroadcastProbeSpec,
     BroadcastSemiSpec,
     KernelSpec,
     PartitionTask,
@@ -326,6 +327,14 @@ class TestWorkerMemoFingerprints:
         key = UdfRef(("x",), Ref("x"))
         fingerprints = {
             BroadcastSemiSpec(keys, key, False).fingerprint
+            for keys in self._COLLIDING
+        }
+        assert len(fingerprints) == len(self._COLLIDING)
+
+    def test_broadcast_probe_records(self):
+        key = UdfRef(("x",), Ref("x"))
+        fingerprints = {
+            BroadcastProbeSpec([set(keys)], key, key, False).fingerprint
             for keys in self._COLLIDING
         }
         assert len(fingerprints) == len(self._COLLIDING)

@@ -13,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.databag import DataBag
 from repro.engines.dfs import SimulatedDFS
 from repro.optimizer.fingerprint import (
     PLAN_KNOBS,
@@ -104,6 +105,39 @@ class TestSnapshotFingerprint:
         b = snapshot_fingerprint({"k": 3, "eps": 0.5})
         c = snapshot_fingerprint({"k": 4, "eps": 0.5})
         assert a == b != c
+
+    def test_sets_and_dicts_do_not_collide(self):
+        # Ints hash to themselves and a plain xor of members makes
+        # set(), {0} and {1, 2, 3} one value; a shared digest would
+        # serve one run's cached result to the other.
+        sets = [set(), {0}, {1, 2, 3}, frozenset({1, 2, 3, 3})]
+        digests = [snapshot_fingerprint({"ks": s}) for s in sets]
+        assert None not in digests
+        assert len(set(digests[:3])) == 3
+        assert digests[2] == digests[3]
+        dicts = [{}, {0: 0}, {1: 1, 2: 2}, {1: 2, 2: 1}]
+        digests = [snapshot_fingerprint({"m": d}) for d in dicts]
+        assert len(set(digests)) == len(dicts)
+        nested = [({0},), ({1, 2, 3},), [set()], [{0}]]
+        digests = [snapshot_fingerprint({"n": v}) for v in nested]
+        assert len(set(digests)) == len(nested)
+
+    def test_staged_files_and_bags_holding_sets_do_not_collide(self):
+        left, right = SimulatedDFS(), SimulatedDFS()
+        left.put("data/in", [{0}, {5}])
+        right.put("data/in", [{1, 2, 3}, {5}])
+        assert snapshot_fingerprint(
+            {"path": "data/in"}, dfs=left
+        ) != snapshot_fingerprint({"path": "data/in"}, dfs=right)
+        assert value_digest(DataBag([{0}])) != value_digest(
+            DataBag([{1, 2, 3}])
+        )
+
+    def test_set_free_values_digest_like_stable_hash(self):
+        from repro.engines.cluster import content_hash, stable_hash
+
+        for value in (0, -7, 2.5, "a", None, (1, "b", (2.0,)), [1, [2]]):
+            assert content_hash(value) == stable_hash(value)
 
     def test_captured_environment_included(self):
         base = snapshot_fingerprint({}, captured={"damping": 0.85})
